@@ -17,13 +17,12 @@ builds a second relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..config import EverestConfig
-from ..oracle.base import Oracle, ScoringFunction
+from ..oracle.base import ScoringFunction
 from ..oracle.cost import CostModel
-from ..core.phase1 import Phase1Result, run_phase1
+from ..core.phase1 import ChargePlan, Phase1Entry, Phase1Result, run_phase1
 from ..trace import span as trace_span
 from ..video.synthetic import SyntheticVideo
 
@@ -37,15 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: default changes, and ``repr`` formatting (the durable identity the
 #: streaming artifact store persists).
 Phase1Key = Tuple[Tuple[str, object], ...]
-
-
-@dataclass
-class Phase1Entry:
-    """One cached Phase 1 run plus its cost ledger."""
-
-    result: Phase1Result
-    oracle_calls: int
-    cost_model: CostModel
 
 
 def phase1_key(config: EverestConfig) -> Phase1Key:
@@ -133,20 +123,7 @@ def build_phase1_entry(
     """
     cost_model = cost_model if cost_model is not None \
         else CostModel(unit_costs, wall_clock=False)
-    oracle = Oracle(scoring, cost_model, cost_key="oracle_label")
-    result = run_phase1(
-        video,
-        oracle,
-        config=config.phase1,
-        diff_config=config.diff,
-        cost_model=cost_model,
-        seed=config.seed,
-    )
-    return Phase1Entry(
-        result=result,
-        oracle_calls=oracle.calls,
-        cost_model=cost_model,
-    )
+    return run_phase1(video, scoring, config, cost_model)
 
 
 def estimate_phase1_seconds(
@@ -158,10 +135,9 @@ def estimate_phase1_seconds(
 ) -> float:
     """A prior for one Phase-1 build's simulated cost (no build run).
 
-    Mirrors the charge structure of
-    :func:`~repro.core.phase1.replay_phase1_charges` with the two
-    quantities unknowable before the build estimated: the number of
-    retained frames (``retained_fraction`` of the prefix; the
+    Prices the build's :class:`~repro.core.phase1.ChargePlan` with the
+    two quantities unknowable before the build estimated: the number
+    of retained frames (``retained_fraction`` of the prefix; the
     difference detector discards the rest) and the grid's
     sample-epochs (every candidate trains on the full sample for every
     epoch). This is the cold-start prior the optimizer's
@@ -171,16 +147,15 @@ def estimate_phase1_seconds(
     phase1 = config.phase1
     pool = phase1.sample_pool(num_frames)
     train = phase1.train_sample_size(pool)
-    holdout = phase1.holdout_sample_size(pool)
-    retained = retained_fraction * num_frames
-    get = unit_costs.get
-    return (
-        (train + holdout) * (get("oracle_label", 0.0) + get("decode", 0.0))
-        + train * phase1.epochs * len(phase1.cmdn_grid)
-        * get("cmdn_train", 0.0)
-        + num_frames * (get("diff_detect", 0.0) + get("decode", 0.0))
-        + retained * get("cmdn_infer", 0.0)
-    )
+    ledger = CostModel(unit_costs, wall_clock=False)
+    ChargePlan(
+        train_labels=train,
+        holdout_labels=phase1.holdout_sample_size(pool),
+        sample_epochs=train * phase1.epochs * len(phase1.cmdn_grid),
+        num_frames=num_frames,
+        num_retained=retained_fraction * num_frames,
+    ).apply(ledger)
+    return ledger.total_seconds()
 
 
 class Session:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..api.session import build_phase1_entry
 from ..config import EverestConfig
-from ..oracle.base import Oracle, ScoringFunction
+from ..oracle.base import ScoringFunction
 from ..oracle.cost import CostModel
 from ..video.synthetic import SyntheticVideo
-from ..core.phase1 import run_phase1
 from .base import BaselineResult
 
 
@@ -27,19 +27,12 @@ def cmdn_only_topk(
     unit_costs=None,
 ) -> BaselineResult:
     """Run Phase 1 only; Top-K of the proxy's expected scores."""
-    cost_model = CostModel(unit_costs)
-    oracle = Oracle(scoring, cost_model, cost_key="oracle_label")
     # Labelling charges the oracle's own latency.
-    cost_model.unit_costs["oracle_label"] = cost_model.unit_costs.get(
+    costs = dict(unit_costs or {})
+    costs["oracle_label"] = CostModel(unit_costs).unit_costs.get(
         scoring.cost_key, 0.0)
-    phase1 = run_phase1(
-        video,
-        oracle,
-        config=config.phase1,
-        diff_config=config.diff,
-        cost_model=cost_model,
-        seed=config.seed,
-    )
+    entry = build_phase1_entry(video, scoring, costs, config)
+    phase1 = entry.result
     relation = phase1.relation
     expected = relation.expected_scores()
     order = np.lexsort((relation.ids, -expected))
@@ -50,7 +43,7 @@ def cmdn_only_topk(
         k=k,
         answer_ids=[int(relation.ids[i]) for i in top],
         answer_scores=[float(expected[i]) for i in top],
-        simulated_seconds=cost_model.total_seconds(),
+        simulated_seconds=entry.cost_model.total_seconds(),
         extras={
             "holdout_nll": phase1.grid_result.best_history.holdout_nll,
             "num_retained": float(phase1.diff_result.num_retained),

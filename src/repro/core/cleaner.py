@@ -173,8 +173,8 @@ class TopKCleaner:
                     raise GuaranteeUnreachableError(
                         "no uncertain tuples left but confidence below thres")
                 if self.reader is not None and \
-                        self.selector._order is not None:
-                    order_ids = self.relation.ids[self.selector._order]
+                        self.selector.order is not None:
+                    order_ids = self.relation.ids[self.selector.order]
                     self.reader.set_priority_order(order_ids.tolist())
                 self._clean_positions(candidates)
                 if step is not None:

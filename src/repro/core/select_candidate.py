@@ -79,6 +79,11 @@ class CandidateSelector:
         self._sort_iteration = -(10 ** 9)
         self._sort_levels: Tuple[int, int] = (-1, -1)
 
+    @property
+    def order(self) -> Optional[np.ndarray]:
+        """Positions in the current priority order (None before a sort)."""
+        return self._order
+
     # ------------------------------------------------------------------
     def psi(
         self, positions: np.ndarray, k_level: int, p_level: int

@@ -143,8 +143,11 @@ class CountScorer:
 class CountExactScores:
     """Ground-truth fast path for the perfect counting oracle.
 
-    The default detector is the perfect oracle, so the video's
-    ground-truth count array is exactly its output.
+    The default detector is the perfect oracle, so its output is the
+    number of ground-truth boxes carrying the label: the video's count
+    array for its primary label, and a box count (no pixel render)
+    for any other label, such as a traffic video's ``person``
+    distractors.
     """
 
     object_label: str
@@ -152,7 +155,10 @@ class CountExactScores:
     def __call__(self, video) -> np.ndarray:
         if getattr(video, "object_label", None) == self.object_label:
             return video.truth_array("count")
-        return np.zeros(len(video))
+        return np.asarray(
+            [sum(box.label == self.object_label for box in video.objects(i))
+             for i in range(len(video))],
+            dtype=np.float64)
 
 
 def counting_udf(

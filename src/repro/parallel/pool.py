@@ -62,8 +62,8 @@ def thread_map(
     """Map ``fn`` over ``items`` preserving order.
 
     With one worker this is a plain loop; otherwise a thread pool
-    (numpy releases the GIL in its inner kernels, so chunked inference
-    scales without pickling anything). Results are returned in input
+    (numpy releases the GIL in its inner kernels, so block-wise proxy
+    inference scales without pickling anything). Results are returned in input
     order either way, so callers are deterministic regardless of the
     worker count.
     """

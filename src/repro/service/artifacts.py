@@ -22,7 +22,7 @@ again. :class:`SharedArtifacts` holds that state at *service* scope:
   original build charged — Phase 1 has no wall-clock timers.
 * **Score / inference cache registries.** One bounded
   :class:`~repro.oracle.cache.ScoreCache` and one streaming
-  :class:`~repro.streaming.phase1_incremental.BlockInferenceCache`
+  :class:`~repro.core.phase1.BlockInferenceCache`
   per artifact *group* (video content × UDF), shared by every session
   the service opens over that group.
 """
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..api.session import Phase1Entry, Phase1Key, build_phase1_entry
+from ..core.phase1 import BlockInferenceCache
 from ..errors import ConfigurationError, ServiceError
 from ..oracle.cache import ScoreCache
 from ..oracle.cost import CostModel
@@ -303,8 +304,6 @@ class SharedArtifacts:
         proxies. A session that warm-retrains after drift must detach
         (it does — see ``IncrementalPhase1._warm_retrain``).
         """
-        from ..streaming.phase1_incremental import BlockInferenceCache
-
         with self._lock:
             cache = self._block_caches.get(artifact)
             if cache is None:

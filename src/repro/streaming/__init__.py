@@ -6,9 +6,8 @@ This package turns the engine from "query a finished video" into
 * :class:`~repro.streaming.session.StreamingSession` — the appendable
   session: ``Session.open_stream(...)`` → ``append`` / ``subscribe`` /
   ``checkpoint`` / ``resume``;
-* :mod:`~repro.streaming.phase1_incremental` — incremental difference
-  detection, block-cached proxy inference, drift auditing and warm
-  retraining;
+* :mod:`~repro.streaming.phase1_incremental` — the Phase-1 builder
+  kept alive across appends, drift auditing and warm retraining;
 * :mod:`~repro.streaming.live_topk` — the cache-backed executor and
   per-query :class:`~repro.streaming.live_topk.LiveTopK` maintainers;
 * :mod:`~repro.streaming.store` — the persistent Phase-1 artifact
@@ -24,7 +23,6 @@ from .live_topk import (
 from .phase1_incremental import (
     BlockInferenceCache,
     DriftTracker,
-    IncrementalDiff,
     IncrementalPhase1,
     INFER_BLOCK,
     StreamingConfig,
@@ -44,7 +42,6 @@ __all__ = [
     "DriftTracker",
     "FORMAT_VERSION",
     "INFER_BLOCK",
-    "IncrementalDiff",
     "IncrementalPhase1",
     "LiveTopK",
     "ScoreCache",

@@ -2,73 +2,50 @@
 
 A batch run pays Phase 1 — labelling, CMDN grid training, difference
 detection, proxy inference — once per video. Under appends the naive
-approach re-pays all of it per arrival. This module maintains the
-Phase-1 artifacts *incrementally* while keeping them **bit-identical**
-to a from-scratch batch run over the current prefix (under the pinned
-``sample_prefix`` training policy), so the live engine inherits the
-batch engine's guarantees verbatim:
+approach re-pays all of it per arrival. :class:`IncrementalPhase1` is
+the batch :class:`~repro.core.phase1.Phase1Builder` kept alive across
+appends, so its artifacts stay **bit-identical** to a from-scratch
+batch run over the current prefix (under the pinned ``sample_prefix``
+training policy) and the live engine inherits the batch engine's
+guarantees verbatim:
 
-* :class:`IncrementalDiff` re-runs the MSE detector only over clips
-  that gained frames. Clips are aligned to global frame indices (as in
-  the batch detector), so completed clips never change and the one
-  *provisional* clip straddling the old watermark is reprocessed when
-  it grows — its anchor frame moves, which can flip retain decisions.
-* :class:`BlockInferenceCache` caches proxy inference per 512-frame
-  block of the retained array. Blocks — not arbitrary deltas — because
-  BLAS matmul accumulation differs across batch shapes: scoring a
-  delta in a different batch than the batch engine would perturbs the
-  mixtures in the last ulp and breaks bit-equivalence. 512 equals the
-  network's internal prediction batch and divides the chunk size used
-  by :func:`~repro.core.phase1.predict_mixtures_chunked`, so block
-  boundaries coincide exactly with the batch engine's sub-batches.
-* :class:`DriftTracker` audits a small oracle-labelled sample of each
-  append and compares the proxy's NLL on it against the bootstrap
-  holdout reference; sustained excess triggers a *warm retrain*
-  (continue training the current weights on bootstrap + audited
-  labels). Auditing and retraining charge the ledger honestly and mark
-  the session as diverged from the batch reference.
+* the builder's :class:`~repro.video.diff.DifferenceDetector` extends
+  over only the clips that gained frames;
+* its :class:`~repro.core.phase1.BlockInferenceCache` re-infers only
+  the 512-frame blocks of the retained array whose frame ids changed;
+* every entry's ledger is the batch
+  :class:`~repro.core.phase1.ChargePlan` for the current prefix.
 
-The maintainer rebuilds the uncertain relation from cached mixtures on
-every append (:func:`~repro.core.uncertain.build_relation` is a cheap
-vectorized quantization; the expensive artifacts above are what is
-cached) and replays the batch ledger via
-:func:`~repro.core.phase1.replay_phase1_charges`.
+On top of the builder this module adds the streaming-only parts:
+:meth:`IncrementalPhase1.advance`, cache adoption across sibling
+sessions, and the :class:`DriftTracker` audit — a small oracle-labelled
+sample of each append whose proxy NLL is compared against the
+bootstrap holdout reference; sustained excess triggers a *warm
+retrain* (continue training the current weights on bootstrap + audited
+labels). Auditing and retraining charge the ledger honestly and mark
+the session as diverged from the batch reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
 from ..config import EverestConfig
-from ..core.phase1 import (
-    _INFER_CHUNK,
-    _sample_indices,
-    Phase1Result,
-    replay_phase1_charges,
+from ..core.phase1 import (  # noqa: F401 - re-exported
+    INFER_BLOCK,
+    BlockInferenceCache,
+    Phase1Builder,
 )
-from ..core.uncertain import build_relation
+# perfbench's layer tracer wraps build_relation and train_proxy_grid here.
+from ..core.uncertain import build_relation  # noqa: F401
 from ..errors import ConfigurationError
-from ..models.mdn import GaussianMixture
-from ..models.trainer import train_network, train_proxy_grid
+from ..models.trainer import train_network, train_proxy_grid  # noqa: F401
 from ..oracle.cost import CostModel
-from ..video.diff import DiffResult, process_clip
 from ..video.streaming import Segment, StreamingVideo
-
-#: Inference cache granularity. Must equal the internal prediction
-#: batch of :meth:`~repro.models.network.MixtureDensityNetwork.predict`
-#: and divide the batch engine's inference chunk, so cached blocks are
-#: byte-identical to the sub-batches a batch run computes.
-INFER_BLOCK = 512
-
-if _INFER_CHUNK % INFER_BLOCK != 0:  # not assert: survives python -O
-    raise RuntimeError(
-        "INFER_BLOCK must divide the batch inference chunk "
-        f"({INFER_BLOCK} vs {_INFER_CHUNK}): block-cached mixtures "
-        "would stop matching batch inference bit for bit")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -150,110 +127,6 @@ class StreamingStats:
         return self.fresh_label_calls + self.fresh_confirm_calls
 
 
-class IncrementalDiff:
-    """Difference detection maintained under appends.
-
-    Clip boundaries are multiples of ``clip_size`` in global frame
-    coordinates, exactly as in
-    :class:`~repro.video.diff.DifferenceDetector`; a clip's decisions
-    depend only on its own frames, so only clips intersecting the new
-    frames — at most one provisional clip plus the arrivals — need
-    reprocessing. ``extend`` returns the first frame index whose retain
-    decision may have changed.
-    """
-
-    def __init__(self, config):
-        self.config = config
-        self.representative = np.zeros(0, dtype=np.int64)
-        self.retained_mask = np.zeros(0, dtype=bool)
-        self.processed = 0
-
-    def extend(self, video: StreamingVideo, watermark: int) -> int:
-        c = self.config.clip_size
-        threshold = self.config.mse_threshold
-        if watermark < self.processed:
-            raise ConfigurationError("watermark cannot move backwards")
-        grow = watermark - self.representative.size
-        if grow > 0:
-            self.representative = np.concatenate(
-                [self.representative, np.zeros(grow, dtype=np.int64)])
-            self.retained_mask = np.concatenate(
-                [self.retained_mask, np.zeros(grow, dtype=bool)])
-        # Reprocess from the start of the clip containing the old
-        # watermark: that clip was provisional (its anchor can move).
-        start = self.processed - self.processed % c
-        for s in range(start, watermark, c):
-            indices = np.arange(s, min(s + c, watermark), dtype=np.int64)
-            keep = process_clip(video, indices, threshold)
-            self.retained_mask[indices] = keep
-            self.representative[indices] = np.where(
-                keep, indices, indices[len(indices) // 2])
-        self.processed = watermark
-        return start
-
-    def result(self) -> DiffResult:
-        return DiffResult(
-            retained=np.flatnonzero(self.retained_mask[:self.processed]),
-            representative=self.representative[:self.processed].copy(),
-            num_frames=self.processed,
-        )
-
-
-class BlockInferenceCache:
-    """Proxy inference cached per 512-frame block of the retained array.
-
-    A block is recomputed only when its frame-id contents change (new
-    arrivals, or retain decisions flipped by a provisional clip); the
-    tail partial block is naturally provisional until it fills. Cached
-    blocks concatenate to the byte-identical mixture matrix the batch
-    engine's chunked inference produces.
-    """
-
-    def __init__(self):
-        self._blocks: Dict[int, Tuple[bytes, GaussianMixture]] = {}
-
-    def clear(self) -> None:
-        self._blocks.clear()
-
-    def mixtures_for(
-        self,
-        proxy,
-        video: StreamingVideo,
-        retained: np.ndarray,
-        stats: Optional[StreamingStats] = None,
-    ) -> GaussianMixture:
-        retained = np.asarray(retained, dtype=np.int64)
-        if retained.size == 0:  # pragma: no cover - empty video guard
-            empty = np.zeros((0, 1))
-            return GaussianMixture(empty, empty.copy(), empty.copy())
-        num_blocks = -(-retained.size // INFER_BLOCK)
-        parts: List[GaussianMixture] = []
-        for b in range(num_blocks):
-            ids = retained[b * INFER_BLOCK:(b + 1) * INFER_BLOCK]
-            key = ids.tobytes()
-            cached = self._blocks.get(b)
-            if cached is None or cached[0] != key:
-                mixture = proxy.predict_mixtures(video.batch_pixels(ids))
-                self._blocks[b] = (key, mixture)
-                if stats is not None:
-                    stats.fresh_inferred_frames += int(ids.size)
-            else:
-                mixture = cached[1]
-            # Use the locally validated mixture, never a re-read: a
-            # sibling session sharing this cache at a different
-            # watermark may have replaced the slot in the meantime.
-            parts.append(mixture)
-        for b in [b for b in self._blocks if b >= num_blocks]:
-            # pop, not del: a service-shared cache may see a sibling
-            # session trim the same stale block concurrently.
-            self._blocks.pop(b, None)
-        return GaussianMixture(
-            pi=np.concatenate([p.pi for p in parts]),
-            mu=np.concatenate([p.mu for p in parts]),
-            sigma=np.concatenate([p.sigma for p in parts]),
-        )
-
-
 class DriftTracker:
     """Rolling proxy-vs-oracle calibration error on audited frames.
 
@@ -316,16 +189,14 @@ class AppendOutcome:
     audited: int
 
 
-class IncrementalPhase1:
-    """Maintains batch-equivalent Phase-1 artifacts under appends.
+class IncrementalPhase1(Phase1Builder):
+    """The Phase-1 builder kept batch-equivalent under appends.
 
-    ``bootstrap()`` mirrors :func:`~repro.core.phase1.run_phase1` step
-    by step over the initial segment (the sampling, training and
-    charging arithmetic is kept in lockstep with that function);
+    ``bootstrap()`` is the batch build over the initial segment;
     ``advance()`` folds one append in. Both return a fresh
-    :class:`~repro.api.session.Phase1Entry` whose ledger replays the
-    charges a from-scratch batch run over the current prefix would
-    make.
+    :class:`~repro.core.phase1.Phase1Entry` whose ledger is the charge
+    plan a from-scratch batch run over the current prefix would pay,
+    plus any audit/retrain work.
     """
 
     def __init__(
@@ -338,35 +209,20 @@ class IncrementalPhase1:
         streaming: StreamingConfig,
         stats: StreamingStats,
     ):
-        self.video = video
-        self.scoring = scoring
-        self.config = config
-        self.unit_costs = dict(unit_costs)
-        self.label_oracle = label_oracle
+        super().__init__(video, scoring, config, unit_costs, label_oracle,
+                         stats)
         self.streaming = streaming
-        self.stats = stats
-
-        self.diff = IncrementalDiff(config.diff)
-        self.blocks = BlockInferenceCache()
-        self.known_scores: Dict[int, float] = {}
-        #: Audit/retrain work beyond the batch replay, aggregated per
+        #: Audit/retrain work beyond the batch plan, aggregated per
         #: ledger key (a per-event list would grow with stream age).
         self.extra_charges: Dict[str, float] = {}
         self.retrained_segments: List[int] = []
         #: True once auditing/retraining charged work a batch run would
         #: not have — reports remain valid but stop being bit-equal.
         self.diverged = False
-        self.grid_result = None
-        self.proxy = None
         self.drift_tracker: Optional[DriftTracker] = None
-        self.train_idx = np.zeros(0, dtype=np.int64)
-        self.holdout_idx = np.zeros(0, dtype=np.int64)
-        self._train_scores = np.zeros(0)
-        self._holdout_scores = np.zeros(0)
-        self.sample_epochs = 0
 
     # ------------------------------------------------------------------
-    def adopt_inference_cache(self, shared: "BlockInferenceCache") -> None:
+    def adopt_inference_cache(self, shared: BlockInferenceCache) -> None:
         """Share proxy-inference blocks with sibling sessions.
 
         The service layer keys shared caches by the full artifact
@@ -382,57 +238,15 @@ class IncrementalPhase1:
         self.blocks = shared
 
     # ------------------------------------------------------------------
-    def bootstrap(self):
-        """Phase 1 over the initial segment (run_phase1, incrementally).
-
-        Each numbered step mirrors the same step of
-        :func:`~repro.core.phase1.run_phase1`; the replayed ledger in
-        :meth:`rebuild_entry` re-issues their charges.
-        """
-        video, config = self.video, self.config
-        phase1 = config.phase1
-        num_frames = len(video)
-        rng = np.random.default_rng(config.seed)
-        pool = phase1.sample_pool(num_frames)
-        train_size = phase1.train_sample_size(pool)
-        holdout_size = phase1.holdout_sample_size(pool)
-        train_idx, holdout_idx = _sample_indices(
-            rng, pool, train_size, holdout_size)
-
-        # 1. Oracle-label the samples (fresh calls; cached thereafter).
-        train_scores = self.label_oracle.score(video, train_idx)
-        holdout_scores = self.label_oracle.score(video, holdout_idx)
-        for idx, score in zip(train_idx, train_scores):
-            self.known_scores[int(idx)] = float(score)
-        for idx, score in zip(holdout_idx, holdout_scores):
-            self.known_scores[int(idx)] = float(score)
-        self.train_idx, self.holdout_idx = train_idx, holdout_idx
-        self._train_scores = np.asarray(train_scores, dtype=np.float64)
-        self._holdout_scores = np.asarray(holdout_scores, dtype=np.float64)
-
-        # 2. Train the (g, h) grid; select by holdout NLL.
-        self.grid_result = train_proxy_grid(
-            video.batch_pixels(train_idx),
-            train_scores,
-            video.batch_pixels(holdout_idx),
-            holdout_scores,
-            config=phase1,
-            input_hw=video.resolution,
-            seed=config.seed,
-        )
-        self.proxy = self.grid_result.proxy
-        self.sample_epochs = self.grid_result.sample_epochs
+    def bootstrap(self, cost_model: Optional[CostModel] = None):
+        entry = super().bootstrap(cost_model)
         self.drift_tracker = DriftTracker(
             self.grid_result.best_history.holdout_nll,
             window=self.streaming.audit_window,
             min_samples=self.streaming.min_audit_for_drift,
         )
+        return entry
 
-        # 3 + 4 + 5 run inside rebuild_entry (diff, inference, relation).
-        self.diff.extend(video, num_frames)
-        return self.rebuild_entry()
-
-    # ------------------------------------------------------------------
     def advance(self, segment: Segment):
         """Fold one append into the Phase-1 state; returns the entry."""
         audited = self._audit(segment)
@@ -453,51 +267,12 @@ class IncrementalPhase1:
             audited=audited,
         )
 
-    # ------------------------------------------------------------------
-    def rebuild_entry(self):
-        """Assemble a batch-equivalent Phase1Entry for the prefix."""
-        from ..api.session import Phase1Entry
-
-        phase1 = self.config.phase1
-        diff_result = self.diff.result()
-        retained = diff_result.retained
-        mixtures = self.blocks.mixtures_for(
-            self.proxy, self.video, retained, self.stats)
-        step = phase1.quantization_step
-        if step is None:
-            step = self.scoring.step
-        relation = build_relation(
-            retained,
-            mixtures,
-            floor=self.scoring.score_floor,
-            step=step,
-            known_scores=self.known_scores,
-            truncate_sigmas=phase1.truncate_sigmas,
-        )
-        cost_model = CostModel(self.unit_costs)
-        replay_phase1_charges(
-            cost_model,
-            train_labels=int(self.train_idx.size),
-            holdout_labels=int(self.holdout_idx.size),
-            sample_epochs=self.sample_epochs,
-            num_frames=len(self.video),
-            num_retained=int(retained.size),
-        )
+    def ledger(self, num_retained: int,
+               cost_model: Optional[CostModel] = None) -> CostModel:
+        cost_model = super().ledger(num_retained, cost_model)
         for key in sorted(self.extra_charges):
             cost_model.charge(key, self.extra_charges[key])
-        result = Phase1Result(
-            relation=relation,
-            proxy=self.proxy,
-            grid_result=self.grid_result,
-            diff_result=diff_result,
-            known_scores=self.known_scores,
-            mixtures=mixtures,
-        )
-        return Phase1Entry(
-            result=result,
-            oracle_calls=int(self.train_idx.size + self.holdout_idx.size),
-            cost_model=cost_model,
-        )
+        return cost_model
 
     # ------------------------------------------------------------------
     def _charge_extra(self, key: str, units: float) -> None:
@@ -523,7 +298,7 @@ class IncrementalPhase1:
         scores = self.label_oracle.score(self.video, frames)
         # Honest accounting: auditing is extra Phase-1 work a batch run
         # does not pay — labelling, decoding, and the proxy inference
-        # that produces the NLLs — charged on top of the replay and
+        # that produces the NLLs — charged on top of the batch plan and
         # recorded as divergence from the batch reference.
         self._charge_extra("oracle_label", count)
         self._charge_extra("decode", count)
@@ -560,10 +335,10 @@ class IncrementalPhase1:
         )
         self._charge_extra("cmdn_train", frames.size * epochs)
         # Stale mixtures: the proxy changed, re-infer everything. A
-        # *fresh private* cache, not clear(): when the cache is shared
-        # at service scope, sibling sessions still hold the original
-        # proxy and their cached mixtures stay valid — this session's
-        # retrained proxy must never repopulate a shared cache.
+        # *fresh private* cache, not an emptied one: when the cache is
+        # shared at service scope, sibling sessions still hold the
+        # original proxy and their cached mixtures stay valid — this
+        # session's retrained proxy must never repopulate a shared cache.
         self.blocks = BlockInferenceCache()
         tracker.rebase(self.proxy.holdout_nll(
             self.video.batch_pixels(self.holdout_idx),

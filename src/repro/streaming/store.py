@@ -5,8 +5,8 @@ A checkpoint is a directory holding:
 * ``state-<sha12>.pkl`` — the pickled session state: the streaming
   video view (source + watermark + segments), the scoring function,
   configurations, the incremental Phase-1 maintainer (trained CMDN
-  weights, diff arrays, block inference cache, known scores, ledger
-  replay inputs, drift state), the revealed-score cache, and the
+  weights, diff arrays, block inference cache, known scores,
+  charge-plan inputs, drift state), the revealed-score cache, and the
   physical-work counters;
 * ``manifest.json`` — human-readable metadata naming the state file
   and carrying its SHA-256, the format version, and identity fields
@@ -32,7 +32,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..errors import CheckpointError
 
 #: Bump when the pickled state layout changes incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 

@@ -17,11 +17,12 @@ from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from ..config import DiffDetectorConfig
+from ..errors import ConfigurationError
 from .synthetic import SyntheticVideo
 
 
@@ -67,17 +68,82 @@ class DiffResult:
         return np.split(np.arange(self.num_frames), change)
 
 
-def process_clip(
+class DifferenceDetector:
+    """MSE-based duplicate-frame suppressor with clip-level splitting.
+
+    Clip boundaries are multiples of ``clip_size`` in global frame
+    coordinates, and a clip's decisions depend only on its own frames.
+    So the detector can also follow a growing video: :meth:`extend`
+    reprocesses only the clips that gained frames — the one
+    *provisional* clip straddling the old end (its anchor moves when
+    it grows, which can flip retain decisions) plus the arrivals — and
+    :meth:`run` is one extension from an empty state over the whole
+    video.
+    """
+
+    def __init__(self, config: DiffDetectorConfig = DiffDetectorConfig()):
+        self.config = config
+        self.representative = np.zeros(0, dtype=np.int64)
+        self.retained_mask = np.zeros(0, dtype=bool)
+        self.processed = 0
+
+    def mse(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Mean squared error between two equally shaped frames."""
+        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+        return float(np.mean(diff * diff))
+
+    def run(self, video: SyntheticVideo) -> DiffResult:
+        """Detect near-duplicate frames across the whole video.
+
+        Every clip is (re)processed, independently of any earlier
+        state (the paper runs clips in parallel; the computation is
+        identical either way and this implementation is vectorized
+        within a clip).
+        """
+        self.processed = 0
+        self.extend(video, len(video))
+        return self.result()
+
+    def extend(self, video: SyntheticVideo, watermark: int) -> int:
+        """Fold frames ``[processed, watermark)`` in.
+
+        Returns the first frame index whose retain decision may have
+        changed.
+        """
+        c = self.config.clip_size
+        threshold = self.config.mse_threshold
+        if watermark < self.processed:
+            raise ConfigurationError("watermark cannot move backwards")
+        grow = watermark - self.representative.size
+        if grow > 0:
+            self.representative = np.concatenate(
+                [self.representative, np.zeros(grow, dtype=np.int64)])
+            self.retained_mask = np.concatenate(
+                [self.retained_mask, np.zeros(grow, dtype=bool)])
+        # Reprocess from the start of the clip containing the old end:
+        # that clip was provisional (its anchor can move).
+        start = self.processed - self.processed % c
+        for s in range(start, watermark, c):
+            indices = np.arange(s, min(s + c, watermark), dtype=np.int64)
+            keep = _process_clip(video, indices, threshold)
+            self.retained_mask[indices] = keep
+            self.representative[indices] = np.where(
+                keep, indices, indices[len(indices) // 2])
+        self.processed = watermark
+        return start
+
+    def result(self) -> DiffResult:
+        return DiffResult(
+            retained=np.flatnonzero(self.retained_mask[:self.processed]),
+            representative=self.representative[:self.processed].copy(),
+            num_frames=self.processed,
+        )
+
+
+def _process_clip(
     video: SyntheticVideo, indices: np.ndarray, threshold: float
 ) -> np.ndarray:
-    """Keep mask for one clip: MSE against the middle-frame anchor.
-
-    The single per-clip kernel, shared by the batch detector and the
-    streaming :class:`~repro.streaming.phase1_incremental
-    .IncrementalDiff` — their bit-equality contract is structural, not
-    a convention between two copies. A clip's decisions depend only on
-    its own frames, which is what makes incremental maintenance exact.
-    """
+    """Keep mask for one clip: MSE against the middle-frame anchor."""
     pixels = video.batch_pixels(indices).astype(np.float64)
     mid = len(indices) // 2
     anchor = pixels[mid]
@@ -85,45 +151,3 @@ def process_clip(
     keep = errors >= threshold
     keep[mid] = True  # the anchor is always retained
     return keep
-
-
-class DifferenceDetector:
-    """MSE-based duplicate-frame suppressor with clip-level splitting."""
-
-    def __init__(self, config: DiffDetectorConfig = DiffDetectorConfig()):
-        self.config = config
-
-    def mse(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Mean squared error between two equally shaped frames."""
-        diff = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-        return float(np.mean(diff * diff))
-
-    def _clip_bounds(self, num_frames: int) -> List[range]:
-        c = self.config.clip_size
-        return [range(s, min(s + c, num_frames)) for s in range(0, num_frames, c)]
-
-    def run(self, video: SyntheticVideo) -> DiffResult:
-        """Detect near-duplicate frames across the whole video.
-
-        Each clip is processed independently (the paper runs clips in
-        parallel; the computation is identical either way and this
-        implementation is vectorized within a clip).
-        """
-        num_frames = len(video)
-        representative = np.empty(num_frames, dtype=np.int64)
-        retained_mask = np.zeros(num_frames, dtype=bool)
-        threshold = self.config.mse_threshold
-
-        for clip in self._clip_bounds(num_frames):
-            indices = np.asarray(clip, dtype=np.int64)
-            middle = int(indices[len(indices) // 2])
-            keep = process_clip(video, indices, threshold)
-            retained_mask[indices[keep]] = True
-            representative[indices] = np.where(keep, indices, middle)
-
-        retained = np.flatnonzero(retained_mask)
-        return DiffResult(
-            retained=retained,
-            representative=representative,
-            num_frames=num_frames,
-        )

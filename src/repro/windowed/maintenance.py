@@ -5,10 +5,10 @@ batch-equivalent under appends. The windowed maintainer adds the
 *expiry* side: when the window slides past frames, their inference
 blocks are retracted from the cache and the uncertain relation is
 rebuilt over window rows only — while the quantization grid, the
-difference-detector state and the replayed ledger all remain those of
-the **full prefix**, because the batch reference for a windowed answer
-is a from-scratch run over the whole prefix restricted to the window
-(:func:`~repro.core.uncertain.restrict_relation`).
+difference-detector state and the ledger's charge plan all remain
+those of the **full prefix**, because the batch reference for a
+windowed answer is a from-scratch run over the whole prefix restricted
+to the window (:func:`~repro.core.uncertain.restrict_relation`).
 
 Reproducing the full-prefix grid without the full mixture matrix is
 the trick: :class:`WindowedBlockCache` remembers one float per block —
@@ -26,35 +26,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.phase1 import Phase1Result, replay_phase1_charges
+from ..core.phase1 import INFER_BLOCK, BlockInferenceCache, concat_mixtures
 from ..core.uncertain import QuantizationGrid, build_relation
 from ..models.mdn import GaussianMixture
-from ..oracle.cost import CostModel
-from ..streaming.phase1_incremental import (
-    INFER_BLOCK,
-    BlockInferenceCache,
-    IncrementalPhase1,
-    StreamingStats,
-)
+from ..streaming.phase1_incremental import IncrementalPhase1, StreamingStats
 from .view import WindowedVideo
 
 __all__ = ["WindowedBlockCache", "WindowedIncrementalPhase1"]
-
-
-def _empty_mixture() -> GaussianMixture:
-    empty = np.zeros((0, 1))
-    return GaussianMixture(empty, empty.copy(), empty.copy())
-
-
-def _slice_mixture(parts: List[GaussianMixture], offset: int) \
-        -> GaussianMixture:
-    if not parts:
-        return _empty_mixture()
-    return GaussianMixture(
-        pi=np.concatenate([p.pi for p in parts])[offset:],
-        mu=np.concatenate([p.mu for p in parts])[offset:],
-        sigma=np.concatenate([p.sigma for p in parts])[offset:],
-    )
 
 
 class WindowedBlockCache(BlockInferenceCache):
@@ -70,10 +48,6 @@ class WindowedBlockCache(BlockInferenceCache):
         super().__init__()
         #: block index -> (frame-id bytes, max(mu + k*sigma) over rows).
         self._tops: Dict[int, Tuple[bytes, float]] = {}
-
-    def clear(self) -> None:  # pragma: no cover - parity with base
-        super().clear()
-        self._tops.clear()
 
     @property
     def cached_blocks(self) -> List[int]:
@@ -100,31 +74,21 @@ class WindowedBlockCache(BlockInferenceCache):
         nothing is retained.
         """
         retained = np.asarray(retained, dtype=np.int64)
-        if retained.size == 0:  # pragma: no cover - empty video guard
-            return _empty_mixture(), None
         num_blocks = -(-retained.size // INFER_BLOCK)
         first_block = cut // INFER_BLOCK
-        parts: List[GaussianMixture] = []
+        parts = self._lookup(
+            proxy, video, retained, range(first_block, num_blocks), stats)
         top: Optional[float] = None
         for b in range(num_blocks):
             ids = retained[b * INFER_BLOCK:(b + 1) * INFER_BLOCK]
             key = ids.tobytes()
-            mixture: Optional[GaussianMixture] = None
-            if b >= first_block:
-                cached = self._blocks.get(b)
-                if cached is None or cached[0] != key:
-                    mixture = proxy.predict_mixtures(video.batch_pixels(ids))
-                    self._blocks[b] = (key, mixture)
-                    if stats is not None:
-                        stats.fresh_inferred_frames += int(ids.size)
-                else:
-                    mixture = cached[1]
-                parts.append(mixture)
             cached_top = self._tops.get(b)
             if cached_top is not None and cached_top[0] == key:
                 block_top = cached_top[1]
             else:
-                if mixture is None:
+                if b >= first_block:
+                    mixture = parts[b - first_block]
+                else:
                     # An expired block whose contents changed (or were
                     # never seen): one O(block) re-inference heals the
                     # top, and the mixture is dropped immediately.
@@ -143,7 +107,7 @@ class WindowedBlockCache(BlockInferenceCache):
         for b in [b for b in self._tops if b >= num_blocks]:
             self._tops.pop(b, None)
         offset = cut - first_block * INFER_BLOCK
-        return _slice_mixture(parts, offset), top
+        return concat_mixtures(parts).select(slice(offset, None)), top
 
 
 class WindowedIncrementalPhase1(IncrementalPhase1):
@@ -157,8 +121,8 @@ class WindowedIncrementalPhase1(IncrementalPhase1):
       grid reproduced from cached block tops;
     * known scores outside the window leave the relation but still
       participate in the grid (exactly as they do in the batch grid);
-    * the replayed ledger is untouched — it charges for the full
-      prefix, because that is what the batch reference pays;
+    * the ledger is the builder's, unchanged — it charges for the
+      full prefix, because that is what the batch reference pays;
     * the block cache is always private (`adopt_inference_cache` is a
       no-op): a service-shared cache must never have blocks evicted
       under sibling full-prefix sessions.
@@ -181,10 +145,8 @@ class WindowedIncrementalPhase1(IncrementalPhase1):
         # maintenance needs the top-tracking variant.
         self.blocks = WindowedBlockCache()
 
-    def rebuild_entry(self):
+    def rebuild_entry(self, cost_model=None):
         """A Phase1Entry whose relation covers the open window only."""
-        from ..api.session import Phase1Entry
-
         phase1 = self.config.phase1
         diff_result = self.diff.result()
         retained = diff_result.retained
@@ -198,9 +160,7 @@ class WindowedIncrementalPhase1(IncrementalPhase1):
             truncate_sigmas=phase1.truncate_sigmas,
             stats=self.stats,
         )
-        step = phase1.quantization_step
-        if step is None:
-            step = self.scoring.step
+        step = self.quantization_step
         floor = self.scoring.score_floor
         # Reproduce grid_for over the full prefix, term for term: the
         # two-level minimum, the mixture upper envelope (max of block
@@ -226,27 +186,4 @@ class WindowedIncrementalPhase1(IncrementalPhase1):
             truncate_sigmas=phase1.truncate_sigmas,
             grid=grid,
         )
-        cost_model = CostModel(self.unit_costs)
-        replay_phase1_charges(
-            cost_model,
-            train_labels=int(self.train_idx.size),
-            holdout_labels=int(self.holdout_idx.size),
-            sample_epochs=self.sample_epochs,
-            num_frames=len(self.video),
-            num_retained=int(retained.size),
-        )
-        for key in sorted(self.extra_charges):
-            cost_model.charge(key, self.extra_charges[key])
-        result = Phase1Result(
-            relation=relation,
-            proxy=self.proxy,
-            grid_result=self.grid_result,
-            diff_result=diff_result,
-            known_scores=self.known_scores,
-            mixtures=mixtures,
-        )
-        return Phase1Entry(
-            result=result,
-            oracle_calls=int(self.train_idx.size + self.holdout_idx.size),
-            cost_model=cost_model,
-        )
+        return self.entry(relation, mixtures, diff_result, cost_model)

@@ -15,8 +15,8 @@ WindowedIncrementalPhase1`).
 Every windowed report is byte-identical to a fresh batch run over the
 window snapshot: ``batch_session()`` seals the prefix (horizon
 included), and a plain batch query over it compiles to the same
-window-restricted plan. Ledgers replay full-prefix charges, because
-that is what the batch reference pays.
+window-restricted plan. Ledgers apply the full-prefix charge plan,
+because that is what the batch reference pays.
 """
 
 from __future__ import annotations

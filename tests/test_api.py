@@ -23,7 +23,9 @@ from repro.api import (
     resolve_video,
 )
 from repro.config import EverestConfig, Phase2Config
+from repro.api.session import build_phase1_entry, estimate_phase1_seconds
 from repro.core import EverestEngine
+from repro.core.phase1 import ChargePlan
 from repro.core.result import PhaseBreakdown, QueryReport
 from repro.core.windows import num_windows
 from repro.errors import (
@@ -31,7 +33,7 @@ from repro.errors import (
     OracleBudgetExceededError,
     QueryError,
 )
-from repro.oracle import counting_udf
+from repro.oracle import CostModel, counting_udf
 
 
 def counting_udf_with_counter(label="car"):
@@ -220,6 +222,48 @@ class TestSessionQueries:
             counting_udf("car"), config=fast_config)
         with pytest.raises(QueryError):
             session.execute(impostor.query().topk(3).plan())
+
+
+class TestChargePlan:
+    """One plan prices Phase 1: the batch ledger and the optimizer prior."""
+
+    @pytest.fixture(scope="class")
+    def built(self, traffic_video, fast_config):
+        scoring = counting_udf("car")
+        costs = Session(traffic_video, scoring,
+                        config=fast_config).resolved_unit_costs()
+        entry = build_phase1_entry(traffic_video, scoring, costs, fast_config)
+        return entry, costs
+
+    def test_plan_reproduces_the_batch_ledger(
+            self, built, traffic_video, fast_config):
+        entry, costs = built
+        phase1 = fast_config.phase1
+        pool = phase1.sample_pool(len(traffic_video))
+        train = phase1.train_sample_size(pool)
+        holdout = phase1.holdout_sample_size(pool)
+        assert train + holdout == entry.oracle_calls
+        plan = ChargePlan(
+            train_labels=train,
+            holdout_labels=holdout,
+            sample_epochs=entry.result.grid_result.sample_epochs,
+            num_frames=len(traffic_video),
+            num_retained=entry.result.diff_result.num_retained,
+        )
+        ledger = CostModel(costs, wall_clock=False)
+        plan.apply(ledger)
+        assert list(ledger.breakdown().items()) == \
+            list(entry.cost_model.breakdown().items())
+        assert ledger.total_seconds() == entry.cost_model.total_seconds()
+
+    def test_optimizer_prior_prices_the_same_plan(
+            self, built, traffic_video, fast_config):
+        entry, costs = built
+        n = len(traffic_video)
+        retained = entry.result.diff_result.num_retained
+        assert estimate_phase1_seconds(
+            n, costs, fast_config, retained_fraction=retained / n,
+        ) == pytest.approx(entry.cost_model.total_seconds())
 
 
 class TestWindowEdges:

@@ -20,7 +20,7 @@ from repro.oracle import (
     tailgating_udf,
 )
 from repro.oracle.base import exact_scores
-from repro.video import BoundingBox
+from repro.video import BoundingBox, TrafficVideo
 
 
 class TestCostModel:
@@ -116,6 +116,16 @@ class TestOracle:
     def test_exact_scores_label_mismatch(self, traffic_video):
         scoring = counting_udf("giraffe")
         assert exact_scores(scoring, traffic_video).sum() == 0.0
+
+    @pytest.mark.parametrize("label", ["car", "person"])
+    def test_exact_scores_equal_the_udf_on_every_frame(self, label):
+        # "person" boxes are a traffic video's distractors: not its
+        # primary label, but the detector counts them all the same.
+        video = TrafficVideo("exact-scores", 300, seed=7)
+        scoring = counting_udf(label)
+        udf = scoring([video.frame(i) for i in range(len(video))])
+        assert udf.sum() > 0
+        np.testing.assert_array_equal(exact_scores(scoring, video), udf)
 
 
 class TestDetector:

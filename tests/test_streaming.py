@@ -19,7 +19,6 @@ import pytest
 from repro import EverestConfig, Session
 from repro.api.session import phase1_key
 from repro.config import DiffDetectorConfig, Phase1Config
-from repro.core.phase1 import predict_mixtures_chunked
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -29,9 +28,9 @@ from repro.errors import (
 )
 from repro.oracle import CostModel, Oracle, counting_udf
 from repro.streaming import (
+    FORMAT_VERSION,
     BlockInferenceCache,
     CachingOracle,
-    IncrementalDiff,
     ScoreCache,
     StreamingConfig,
 )
@@ -106,7 +105,7 @@ class TestStreamingVideo:
 
 
 # ----------------------------------------------------------------------
-# IncrementalDiff == batch DifferenceDetector over every prefix.
+# DifferenceDetector.extend == a fresh batch run over every prefix.
 
 @pytest.mark.parametrize("clip_size", [7, 30])
 def test_incremental_diff_matches_batch_for_random_schedules(clip_size):
@@ -115,7 +114,7 @@ def test_incremental_diff_matches_batch_for_random_schedules(clip_size):
     detector = DifferenceDetector(config)
     rng = np.random.default_rng(99)
     for _ in range(3):
-        incremental = IncrementalDiff(config)
+        incremental = DifferenceDetector(config)
         stream = StreamingVideo(video, int(rng.integers(40, 120)))
         incremental.extend(stream, len(stream))
         while stream.remaining:
@@ -132,37 +131,37 @@ def test_incremental_diff_matches_batch_for_random_schedules(clip_size):
 def test_incremental_diff_rejects_backwards_watermark():
     video = TrafficVideo("diff-back", 100, seed=1)
     stream = StreamingVideo(video, 80)
-    diff = IncrementalDiff(DiffDetectorConfig())
+    diff = DifferenceDetector(DiffDetectorConfig())
     diff.extend(stream, 80)
     with pytest.raises(ConfigurationError):
         diff.extend(stream, 40)
 
 
 # ----------------------------------------------------------------------
-# BlockInferenceCache: byte-identical to the batch inference path.
+# BlockInferenceCache: byte-identical to whole-array inference.
 
 def test_block_cache_matches_chunked_inference(traffic_video, trained_proxy):
     cache = BlockInferenceCache()
     stream = StreamingVideo(traffic_video, 600)
     retained = np.arange(0, 600)
     mine = cache.mixtures_for(trained_proxy, stream, retained)
-    reference = predict_mixtures_chunked(
-        trained_proxy, traffic_video, retained, workers=1)
+    reference = trained_proxy.predict_mixtures(
+        traffic_video.batch_pixels(retained))
     np.testing.assert_array_equal(mine.pi, reference.pi)
     np.testing.assert_array_equal(mine.mu, reference.mu)
     np.testing.assert_array_equal(mine.sigma, reference.sigma)
 
     # Growing the retained set recomputes only the changed tail blocks
     # (the full leading block stays cached), and stays byte-identical
-    # to a from-scratch chunked run.
+    # to a from-scratch whole-array run.
     from repro.streaming import StreamingStats
     stats = StreamingStats()
     stream.append(600)
     grown = np.arange(0, 1200)
     mine2 = cache.mixtures_for(trained_proxy, stream, grown, stats)
     assert stats.fresh_inferred_frames == grown.size - 512
-    reference2 = predict_mixtures_chunked(
-        trained_proxy, traffic_video, grown, workers=1)
+    reference2 = trained_proxy.predict_mixtures(
+        traffic_video.batch_pixels(grown))
     np.testing.assert_array_equal(mine2.mu, reference2.mu)
 
 
@@ -178,8 +177,8 @@ def test_block_cache_invalidates_on_membership_change(
     changed = first[first != 3]
     mine = cache.mixtures_for(trained_proxy, stream, changed, stats)
     assert stats.fresh_inferred_frames == changed.size
-    reference = predict_mixtures_chunked(
-        trained_proxy, traffic_video, changed, workers=1)
+    reference = trained_proxy.predict_mixtures(
+        traffic_video.batch_pixels(changed))
     np.testing.assert_array_equal(mine.mu, reference.mu)
 
 
@@ -281,7 +280,7 @@ class TestArtifactStore:
         state, manifest = read_checkpoint(path)
         assert state == {"answer": 42}
         assert manifest["video_name"] == "v"
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == FORMAT_VERSION
 
     def test_rewrite_garbage_collects_old_blobs(self, tmp_path):
         path = tmp_path / "ck"
@@ -302,6 +301,17 @@ class TestArtifactStore:
         blob = next(path.glob("state-*.pkl"))
         blob.write_bytes(b"garbage")
         with pytest.raises(CheckpointError, match="checksum"):
+            read_checkpoint(path)
+
+    def test_previous_format_version_is_refused(self, tmp_path):
+        # Version 1 pickled the maintainer's pre-builder classes.
+        path = tmp_path / "ck"
+        write_checkpoint(path, {"round": 1})
+        manifest_path = path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="format 1"):
             read_checkpoint(path)
 
     def test_unknown_format_version(self, tmp_path):
